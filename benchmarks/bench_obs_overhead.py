@@ -17,6 +17,10 @@ whose flush/compaction/WAL paths carry span sites:
   latency tee into the shared progress histogram.
 * **full_tracing** -- metrics plus an installed span tracer (the span
   sites light up; per-op paths stay untraced by design).
+* **measure_off** -- the public ``replay()`` with
+  ``measure_latency=False``: no per-op timer, probe or sink.  Its best
+  rep over telemetry_off's best is the store's ``measure_tax_ratio``,
+  what measuring latency itself costs the replay.
 
 Each cell reports the median of ``REPS`` runs by throughput plus the
 fastest rep, with reps interleaved round-robin across modes (after one
@@ -87,7 +91,10 @@ def _run(store_name, trace, mode, scratch_dir):
             trace_path=os.path.join(scratch_dir, "bench.trace.json"),
             metrics_path=os.path.join(scratch_dir, "bench.jsonl"),
         )
-    replayer = TraceReplayer(connector, telemetry=telemetry)
+    replayer = TraceReplayer(
+        connector, telemetry=telemetry,
+        measure_latency=mode != "measure_off",
+    )
     try:
         if mode == "pre_obs_equivalent":
             result = replayer._run(trace)  # the pre-obs replay body
@@ -108,6 +115,7 @@ MODES = (
     "telemetry_off",
     "metrics_only",
     "full_tracing",
+    "measure_off",
 )
 
 
@@ -161,6 +169,10 @@ def main():
                 "the replay body as it existed before the obs package, "
                 "with no telemetry session wrapper"
             ),
+            "measure_tax_ratio": (
+                "per store: best measure_off kops / best telemetry_off "
+                "kops -- the cost of measuring latency at all"
+            ),
         },
         "note": one_cpu_note(
             "the sampler thread and the replay share one core and the "
@@ -197,6 +209,11 @@ def main():
                     f"median {cell['throughput_kops']:.1f}  "
                     f"p50={cell['p50_us']:.1f}us p99={cell['p99_us']:.1f}us"
                 )
+            cells["measure_tax_ratio"] = round(
+                cells["measure_off"]["best_throughput_kops"]
+                / cells["telemetry_off"]["best_throughput_kops"], 3
+            )
+            print(f"  measure_tax_ratio    {cells['measure_tax_ratio']:.3f}x")
             results["stores"][store_name] = cells
 
     claims = {

@@ -446,8 +446,11 @@ class RocksLSMStore(KVStore):
         Inline mode: the flush/compaction work performed on the write
         path.  Background mode: writer *stall* time only -- worker busy
         time is genuinely concurrent and never double-counted here.
-        Thread-safe either way.
+        Thread-safe either way: the unlocked read only skips the lock
+        when nothing is owed; a delta racing with it is taken next time.
         """
+        if not self._background_ns:
+            return 0
         with self._background_lock:
             spent, self._background_ns = self._background_ns, 0
         return spent

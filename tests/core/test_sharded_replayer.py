@@ -1,6 +1,7 @@
 """Sharded parallel replay: partitioning, aggregation, and the
 replayer fast path / throttle behaviour."""
 
+import gc
 import time
 
 import pytest
@@ -161,9 +162,19 @@ class TestThrottleHybridSleep:
         not a busy loop: process CPU time stays far below wall time."""
         trace = make_trace(30)
         replayer = TraceReplayer(create_connector("memory"), service_rate=150.0)
-        cpu_before = time.process_time()
-        result = replayer.replay(trace)
-        cpu_used = time.process_time() - cpu_before
+        # The replayer's pre-replay gc.collect() runs before its clock
+        # starts, so it counts in CPU time but not in elapsed_s.  A full
+        # collection walks every tracked object even when none is
+        # garbage; collect and freeze the test process's heap first so
+        # that walk covers only this test's objects.
+        gc.collect()
+        gc.freeze()
+        try:
+            cpu_before = time.process_time()
+            result = replayer.replay(trace)
+            cpu_used = time.process_time() - cpu_before
+        finally:
+            gc.unfreeze()
         assert result.elapsed_s >= 0.15
         # The seed busy-wait burned ~100% of a core; the hybrid throttle
         # should spin only the last ~1 ms of each 6.7 ms interval.

@@ -16,6 +16,10 @@ store:
   nothing races a half-written sstable or gets lost on shutdown.
 """
 
+import sys
+import threading
+import time
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -145,6 +149,47 @@ class TestStallAccounting:
             # drained: a second take must not double-count
             assert store.take_background_ns() == 0
         finally:
+            store.close()
+
+    def test_concurrent_takes_lose_and_double_count_nothing(self):
+        """A replayer taking while a writer stalls: every stall delta is
+        taken exactly once, whether or not a take skipped the lock."""
+        store = self.stalled_store()
+        deltas = []
+        add = store._add_background_ns
+
+        def recording_add(delta):
+            deltas.append(delta)
+            add(delta)
+
+        store._add_background_ns = recording_add
+
+        def write():
+            for i in range(300):
+                store.put(b"k%03d" % i, b"v" * 40)
+
+        writer = threading.Thread(target=write, daemon=True)
+        taken = []
+        deadline = time.monotonic() + 30.0
+        # switch threads as often as the interpreter allows, so takes
+        # interleave with the writer's stall accounting
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writer.start()
+            while writer.is_alive() and time.monotonic() < deadline:
+                taken.append(store.take_background_ns())
+                time.sleep(0)
+            writer.join(timeout=5.0)
+            assert not writer.is_alive()
+            taken.append(store.take_background_ns())
+            assert store.write_stall_count > 0
+            assert sum(deltas) > 0
+            assert sum(taken) == sum(deltas)
+            assert store.take_background_ns() == 0
+        finally:
+            sys.setswitchinterval(interval)
+            writer.join(timeout=5.0)
             store.close()
 
     def test_worker_busy_time_not_charged_to_writers(self):
